@@ -107,7 +107,7 @@ func Capture(host *hypervisor.Host, kernels []*guestos.Kernel) *Dump {
 		os, oe := vm.OverheadRegion()
 		gd.OverheadStart, gd.OverheadEnd = uint64(os), uint64(oe)
 
-		vm.HostPageTable().Range(func(vpn mem.VPN, pte mem.PTE) bool {
+		vm.HostPageTable().RangeSorted(func(vpn mem.VPN, pte mem.PTE) bool {
 			if pte.Swapped {
 				return true
 			}
@@ -135,7 +135,7 @@ func Capture(host *hypervisor.Host, kernels []*guestos.Kernel) *Dump {
 					Category: v.Category, Label: v.Label, File: file,
 				})
 			}
-			p.PageTable().Range(func(vpn mem.VPN, pte mem.PTE) bool {
+			p.PageTable().RangeSorted(func(vpn mem.VPN, pte mem.PTE) bool {
 				pd.PTEs[uint64(vpn)] = uint64(pte.Frame)
 				return true
 			})

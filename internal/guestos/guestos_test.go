@@ -334,7 +334,7 @@ func TestPropertyGuestAccounting(t *testing.T) {
 		kernelPages := c.Text + c.Data + c.Slab + c.PageCacheUnmapped + c.PageCacheMappedShared
 		// Count distinct resident anon pages across the process.
 		anonResident := 0
-		p.PageTable().Range(func(_ mem.VPN, pte mem.PTE) bool {
+		p.PageTable().RangeSorted(func(_ mem.VPN, pte mem.PTE) bool {
 			if k.owners[pte.Frame] == ownerProcess {
 				anonResident++
 			}

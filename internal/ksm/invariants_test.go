@@ -22,7 +22,7 @@ func (f *fixture) checkInvariants(t *testing.T) {
 
 	mappers := map[mem.FrameID]int{}
 	for _, vm := range f.vms {
-		vm.HostPageTable().Range(func(vpn mem.VPN, pte mem.PTE) bool {
+		vm.HostPageTable().RangeSorted(func(vpn mem.VPN, pte mem.PTE) bool {
 			if pte.Swapped {
 				return true
 			}
@@ -109,7 +109,7 @@ func (f *fixture) recountStats() (shared, sharing int, saved int64) {
 	pm := f.host.Phys()
 	mappers := map[mem.FrameID]int{}
 	for _, vm := range f.host.VMs() {
-		vm.HostPageTable().Range(func(_ mem.VPN, pte mem.PTE) bool {
+		vm.HostPageTable().RangeSorted(func(_ mem.VPN, pte mem.PTE) bool {
 			if !pte.Swapped && !pte.Huge && pm.IsKSM(pte.Frame) {
 				mappers[pte.Frame]++
 			}

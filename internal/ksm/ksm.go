@@ -71,7 +71,7 @@ type Config struct {
 	ChecksumGate bool
 	// HashOnly, when set, merges on checksum equality without verifying
 	// bytes. This is the unsound ablation mode: it counts how many merges
-	// would have been wrong (none with 64-bit FNV over 4 KiB in practice,
+	// would have been wrong (none with the 64-bit page checksum in practice,
 	// but the comparator records verification rejections).
 	HashOnly bool
 	// ScanCostNanos is the CPU cost charged per scanned page, used only for

@@ -11,6 +11,8 @@
 // the property the paper's Transparent Page Sharing analysis rests on.
 package mem
 
+import "encoding/binary"
+
 // Seed is a 64-bit value that deterministically identifies a piece of
 // logical content. Seeds are combined with SplitMix64-style mixing so that
 // related identities (same class, different process) produce unrelated byte
@@ -38,53 +40,53 @@ func Combine(seeds ...Seed) Seed {
 
 // HashString hashes a string into a Seed using FNV-1a.
 func HashString(s string) Seed {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return Seed(h)
 }
 
 // Fill writes a deterministic byte stream derived from seed into dst. The
-// stream is a xorshift64* generator; the same (seed, len) always produces
-// the same bytes, and different seeds produce streams that share no long
-// common runs, so accidental page-content collisions do not happen.
+// stream is a xorshift64* generator stored as little-endian 64-bit words
+// (the tail of a length that is not a multiple of 8 takes the low bytes of
+// one more word); the same (seed, len) always produces the same bytes, and
+// different seeds produce streams that share no long common runs, so
+// accidental page-content collisions do not happen.
 func Fill(dst []byte, seed Seed) {
-	s := uint64(Mix(seed))
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
+	s := xorshiftStart(seed)
 	i := 0
-	for i+8 <= len(dst) {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
-		dst[i] = byte(v)
-		dst[i+1] = byte(v >> 8)
-		dst[i+2] = byte(v >> 16)
-		dst[i+3] = byte(v >> 24)
-		dst[i+4] = byte(v >> 32)
-		dst[i+5] = byte(v >> 40)
-		dst[i+6] = byte(v >> 48)
-		dst[i+7] = byte(v >> 56)
-		i += 8
+	for ; i+8 <= len(dst); i += 8 {
+		s = xorshiftNext(s)
+		binary.LittleEndian.PutUint64(dst[i:], s*xorshiftMul)
 	}
 	if i < len(dst) {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
+		v := xorshiftNext(s) * xorshiftMul
 		for ; i < len(dst); i++ {
 			dst[i] = byte(v)
 			v >>= 8
 		}
 	}
+}
+
+// xorshiftMul is the xorshift64* output multiplier.
+const xorshiftMul = 0x2545f4914f6cdd1d
+
+// xorshiftStart derives the generator state for seed; zero is the one state
+// xorshift cannot leave, so it is replaced.
+func xorshiftStart(seed Seed) uint64 {
+	if s := uint64(Mix(seed)); s != 0 {
+		return s
+	}
+	return 0x9e3779b97f4a7c15
+}
+
+func xorshiftNext(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
 }
 
 // FillBytes allocates and fills a fresh deterministic buffer.
@@ -94,58 +96,54 @@ func FillBytes(n int, seed Seed) []byte {
 	return b
 }
 
-// ChecksumBytes computes the FNV-1a checksum of a byte slice. KSM uses this
-// as its volatility gate: a page whose checksum changed between scan passes
-// is considered too volatile to merge.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// ChecksumBytes computes the page checksum of a byte slice: FNV-1a folding
+// one little-endian 64-bit word per step (the tail of a length that is not a
+// multiple of 8 folds byte by byte), finished by the Mix finalizer. KSM uses
+// it as its volatility gate — a page whose checksum changed between scan
+// passes is considered too volatile to merge — and as the shard key.
+//
+// The finalizer matters: word-wise FNV leaves the low bits of the sum
+// depending only on the low bits of each word, and the KSM shard index
+// (sum % N) reads exactly those bits.
 func ChecksumBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	h := uint64(fnvOffset64)
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		h ^= binary.LittleEndian.Uint64(b[i:])
+		h *= fnvPrime64
 	}
-	return h
+	for ; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return uint64(Mix(Seed(h)))
 }
 
 // ChecksumSeed computes ChecksumBytes(FillBytes(n, seed)) without
-// materializing the buffer: the generator words are folded straight into
-// the hash. The content store checksums seeded (never-read) pages this way,
-// so the volatility gate costs no page-sized memory traffic for them.
+// materializing the buffer: each generator word is folded straight into the
+// hash. The content store checksums seeded (never-read) pages this way, so
+// the volatility gate costs no page-sized memory traffic for them.
 func ChecksumSeed(seed Seed, n int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	s := uint64(Mix(seed))
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	h := uint64(offset64)
+	s := xorshiftStart(seed)
+	h := uint64(fnvOffset64)
 	i := 0
-	for i+8 <= n {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
-		for k := 0; k < 8; k++ {
-			h ^= v >> (8 * k) & 0xff
-			h *= prime64
-		}
-		i += 8
+	for ; i+8 <= n; i += 8 {
+		s = xorshiftNext(s)
+		h ^= s * xorshiftMul
+		h *= fnvPrime64
 	}
 	if i < n {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
+		v := xorshiftNext(s) * xorshiftMul
 		for ; i < n; i++ {
 			h ^= v & 0xff
-			h *= prime64
+			h *= fnvPrime64
 			v >>= 8
 		}
 	}
-	return h
+	return uint64(Mix(Seed(h)))
 }

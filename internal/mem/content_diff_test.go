@@ -286,7 +286,7 @@ func FuzzContentStoreDifferential(f *testing.F) {
 // TestChecksumSeedMatchesMaterialized pins the streamed seeded checksum to
 // the byte-materialized reference for a spread of seeds and sizes.
 func TestChecksumSeedMatchesMaterialized(t *testing.T) {
-	for _, n := range []int{8, 24, 4096, 4100, 16384} {
+	for _, n := range []int{1, 7, 8, 9, 24, 4095, 4096, 4100, 16384} {
 		for s := uint64(0); s < 64; s++ {
 			seed := Mix(Seed(s * 0x9e37))
 			if got, want := ChecksumSeed(seed, n), ChecksumBytes(FillBytes(n, seed)); got != want {

@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // VPN is a virtual page number: a virtual address divided by the page size.
@@ -19,7 +19,14 @@ func HugeAlign(vpn VPN) VPN { return vpn &^ (HugePages - 1) }
 // is present (mapped to a frame) or swapped out (content lives in a swap
 // slot); unmapped pages simply have no entry.
 type PTE struct {
-	Frame    FrameID
+	// Fields are ordered widest first so an entry packs into 24 bytes; a
+	// page-table leaf holds HugePages of them.
+	Frame FrameID
+	// SwapSlot identifies the swap page of a Swapped entry.
+	SwapSlot uint32
+	// LastUse is a virtual timestamp (simclock microseconds) of the most
+	// recent access, maintained by the hypervisor for LRU eviction.
+	LastUse  int64
 	Writable bool
 	// COW marks a write-protected shared mapping: the next write must
 	// allocate a private copy. Both KSM merging and fork-style sharing set
@@ -27,50 +34,152 @@ type PTE struct {
 	COW bool
 	// Swapped marks an entry whose content has been written to swap;
 	// Frame is NilFrame and SwapSlot identifies the swap page.
-	Swapped  bool
-	SwapSlot uint32
+	Swapped bool
 	// Huge marks a transparent-huge-page mapping: one stored entry at a
 	// HugePages-aligned VPN covers the whole aligned run, backed by a
 	// contiguous frame block. Lookup synthesizes the middle entries, so only
 	// the head lives in the table.
 	Huge bool
-	// LastUse is a virtual timestamp (simclock microseconds) of the most
-	// recent access, maintained by the hypervisor for LRU eviction.
-	LastUse int64
 	// Accessed is the referenced bit of the second-chance (clock)
 	// replacement policy: set on every touch, cleared when the clock hand
 	// passes.
 	Accessed bool
 }
 
-// PageTable is a sparse mapping from virtual page numbers to PTEs.
+// PageTable is a sparse mapping from virtual page numbers to PTEs, stored as
+// a three-level radix table: a root slice indexed by vpn>>18, mid nodes of
+// 512 leaf pointers, and leaves that each cover exactly one HugePages-aligned
+// run — its PTEs, an occupancy bitmap, and the run's fine-grained huge-page
+// state (hugeAux) side by side. Lookup is three array indexes and a bit test,
+// with no hashing, and never writes, so concurrent readers are safe. Walks
+// visit the leaves in address order, so SortedVPNs and RangeSorted need no
+// sort. A leaf is freed when its last entry goes (and its mid node when its
+// last leaf goes), so tables that see repeated teardown keep no dead nodes.
 //
-// Huge mappings store a single entry at the aligned head VPN with Huge set;
-// lookups of the other HugePages-1 page numbers in the run synthesize their
-// PTE from the head (Frame = head frame + offset). Base entries may not be
-// installed inside a huge run — split it first, either wholesale
-// (SplitHuge) or per-subpage (SplitHugeSubpages, the FHPM carve-out path).
-//
-// Iteration over the underlying map is randomized by the runtime, so any
-// code that needs determinism must use SortedVPNs or RangeSorted. Linear
-// scans (KSM, the analyzer) walk explicit address ranges instead and are
-// deterministic by construction.
+// Huge mappings store a single entry at the aligned head VPN — slot 0 of its
+// leaf — with Huge set; lookups of the other HugePages-1 page numbers in the
+// run synthesize their PTE from the head (Frame = head frame + offset). Base
+// entries may not be installed inside a huge run — split it first, either
+// wholesale (SplitHuge) or per-subpage (SplitHugeSubpages, the FHPM
+// carve-out path).
 type PageTable struct {
-	entries map[VPN]PTE
+	root []*ptMid
+	// n counts stored entries (Len).
+	n int
 	// present counts resident (non-swapped) entries, maintained on
 	// Set/Delete so PresentCount is O(1) for telemetry gauges. A huge entry
 	// counts as HugePages resident pages minus the carved subpages that left
 	// the run (their own base entries carry the count instead — see
 	// SplitHugeSubpages for the bookkeeping contract).
 	present int
-	// hugeHeads counts huge entries; when zero, Lookup and the mutation
-	// guards skip all huge-range work, so tables that never collapse pay
-	// nothing.
+	// hugeHeads counts huge entries.
 	hugeHeads int
-	// aux holds per-subpage state (carve-out bitmap, dirty-ring-fed heat)
-	// keyed by huge head VPN. Allocated lazily; entries live only while the
-	// head entry is huge.
-	aux map[VPN]*hugeAux
+}
+
+const (
+	// ptMidShift is the VPN shift of a leaf index: a leaf covers one
+	// HugePages-aligned run.
+	ptMidShift = 9
+	// ptRootShift is the VPN shift of a root index: a mid node covers
+	// ptFanout leaves.
+	ptRootShift = ptMidShift + 9
+	ptFanout    = 1 << (ptRootShift - ptMidShift)
+)
+
+type ptMid struct {
+	leaves [ptFanout]*ptLeaf
+	n      int // non-nil leaves
+}
+
+// ptLeaf is one HugePages-aligned run of the table.
+type ptLeaf struct {
+	ptes [HugePages]PTE
+	used [HugePages / 64]uint64 // bit i set: ptes[i] is stored
+	n    int                    // stored entries
+	// aux holds the run's per-subpage state (carve-out bitmap,
+	// dirty-ring-fed heat). Allocated lazily; non-nil only while slot 0 is a
+	// huge head.
+	aux *hugeAux
+}
+
+func (l *ptLeaf) has(off VPN) bool { return l.used[off/64]&(1<<(off%64)) != 0 }
+
+// huge reports whether the leaf's run is mapped by a huge head.
+func (l *ptLeaf) huge() bool { return l.used[0]&1 != 0 && l.ptes[0].Huge }
+
+// covers reports whether the huge head of the leaf's run (if any) maps off:
+// carved subpages are not covered.
+func (l *ptLeaf) covers(off VPN) bool {
+	return l.huge() && (off == 0 || l.aux == nil || !l.aux.isCarved(off))
+}
+
+// store writes e into slot off, keeping the entry counts.
+func (pt *PageTable) store(l *ptLeaf, off VPN, e PTE) {
+	if !l.has(off) {
+		l.used[off/64] |= 1 << (off % 64)
+		l.n++
+		pt.n++
+	}
+	l.ptes[off] = e
+}
+
+// clear empties slot off, keeping the entry counts; the caller frees the
+// leaf once it is done with it (pt.release).
+func (pt *PageTable) clear(l *ptLeaf, off VPN) {
+	l.used[off/64] &^= 1 << (off % 64)
+	l.ptes[off] = PTE{}
+	l.n--
+	pt.n--
+}
+
+// leaf returns the leaf covering vpn, or nil.
+func (pt *PageTable) leaf(vpn VPN) *ptLeaf {
+	r := uint64(vpn >> ptRootShift)
+	if r >= uint64(len(pt.root)) {
+		return nil
+	}
+	m := pt.root[r]
+	if m == nil {
+		return nil
+	}
+	return m.leaves[(vpn>>ptMidShift)%ptFanout]
+}
+
+// leafFor returns the leaf covering vpn, allocating it (and its mid node)
+// if needed.
+func (pt *PageTable) leafFor(vpn VPN) *ptLeaf {
+	r := int(vpn >> ptRootShift)
+	if r >= len(pt.root) {
+		pt.root = append(pt.root, make([]*ptMid, r+1-len(pt.root))...)
+	}
+	m := pt.root[r]
+	if m == nil {
+		m = &ptMid{}
+		pt.root[r] = m
+	}
+	i := (vpn >> ptMidShift) % ptFanout
+	l := m.leaves[i]
+	if l == nil {
+		l = &ptLeaf{}
+		m.leaves[i] = l
+		m.n++
+	}
+	return l
+}
+
+// release frees the leaf covering vpn if it holds nothing, and then its mid
+// node if that holds no leaves.
+func (pt *PageTable) release(vpn VPN) {
+	r := vpn >> ptRootShift
+	m := pt.root[r]
+	i := (vpn >> ptMidShift) % ptFanout
+	if l := m.leaves[i]; l.n > 0 || l.aux != nil {
+		return
+	}
+	m.leaves[i] = nil
+	if m.n--; m.n == 0 {
+		pt.root[r] = nil
+	}
 }
 
 // hugeAux is the fine-grained state of one huge entry: which subpages have
@@ -102,60 +211,59 @@ func (a *hugeAux) isCarved(off VPN) bool {
 func (a *hugeAux) setCarved(off VPN)   { a.carved[off/64] |= 1 << (off % 64) }
 func (a *hugeAux) clearCarved(off VPN) { a.carved[off/64] &^= 1 << (off % 64) }
 
-func (pt *PageTable) ensureAux(head VPN) *hugeAux {
-	if pt.aux == nil {
-		pt.aux = make(map[VPN]*hugeAux)
+func (l *ptLeaf) ensureAux() *hugeAux {
+	if l.aux == nil {
+		l.aux = &hugeAux{}
 	}
-	a := pt.aux[head]
-	if a == nil {
-		a = &hugeAux{}
-		pt.aux[head] = a
-	}
-	return a
+	return l.aux
 }
 
 // NewPageTable returns an empty table.
-func NewPageTable() *PageTable {
-	return &PageTable{entries: make(map[VPN]PTE)}
-}
+func NewPageTable() *PageTable { return &PageTable{} }
 
 // Len reports the number of stored entries (present + swapped). A huge
 // mapping counts as one entry.
-func (pt *PageTable) Len() int { return len(pt.entries) }
+func (pt *PageTable) Len() int { return pt.n }
 
 // HugeMappings reports how many huge entries the table holds.
 func (pt *PageTable) HugeMappings() int { return pt.hugeHeads }
 
-// hugeHead returns the huge entry covering vpn, if one exists. A carved
-// subpage is NOT covered: it has its own base entry and behaves like any
-// base page for Lookup/Set/Delete.
-func (pt *PageTable) hugeHead(vpn VPN) (VPN, PTE, bool) {
-	if pt.hugeHeads == 0 {
-		return 0, PTE{}, false
+// hugeLeaf returns the leaf headed at head when head holds a huge entry.
+func (pt *PageTable) hugeLeaf(head VPN) *ptLeaf {
+	if head%HugePages != 0 {
+		return nil
 	}
-	head := HugeAlign(vpn)
-	e, ok := pt.entries[head]
-	if !ok || !e.Huge {
-		return 0, PTE{}, false
+	if l := pt.leaf(head); l != nil && l.huge() {
+		return l
 	}
-	if vpn != head {
-		if a := pt.aux[head]; a != nil && a.isCarved(vpn-head) {
-			return 0, PTE{}, false
-		}
+	return nil
+}
+
+// auxAt returns the fine-grained state of the huge run headed at head, or
+// nil.
+func (pt *PageTable) auxAt(head VPN) *hugeAux {
+	if l := pt.hugeLeaf(head); l != nil {
+		return l.aux
 	}
-	return head, e, true
+	return nil
 }
 
 // Lookup fetches the entry for vpn. Page numbers inside a huge run answer
 // with a synthesized entry: the head's flags and the frame at the matching
-// offset into the backing block, with Huge set so callers can tell.
+// offset into the backing block, with Huge set so callers can tell. A
+// carved subpage answers with its own base entry.
 func (pt *PageTable) Lookup(vpn VPN) (PTE, bool) {
-	e, ok := pt.entries[vpn]
-	if ok {
-		return e, true
+	l := pt.leaf(vpn)
+	if l == nil {
+		return PTE{}, false
 	}
-	if head, he, ok := pt.hugeHead(vpn); ok {
-		he.Frame += FrameID(vpn - head)
+	off := vpn % HugePages
+	if l.has(off) {
+		return l.ptes[off], true
+	}
+	if l.covers(off) {
+		he := l.ptes[0]
+		he.Frame += FrameID(off)
 		return he, true
 	}
 	return PTE{}, false
@@ -165,15 +273,17 @@ func (pt *PageTable) Lookup(vpn VPN) (PTE, bool) {
 // an existing huge run is a bug in the caller (the run must be split first)
 // and panics; replacing a huge head with a non-huge entry likewise.
 func (pt *PageTable) Set(vpn VPN, e PTE) {
+	off := vpn % HugePages
 	if e.Huge {
-		if vpn%HugePages != 0 {
+		if off != 0 {
 			panic(fmt.Sprintf("mem: huge PTE at unaligned vpn %d", vpn))
 		}
-	} else if head, _, ok := pt.hugeHead(vpn); ok {
-		panic(fmt.Sprintf("mem: base PTE at vpn %d inside huge run headed at %d", vpn, head))
+	} else if l := pt.leaf(vpn); l != nil && l.covers(off) {
+		panic(fmt.Sprintf("mem: base PTE at vpn %d inside huge run headed at %d", vpn, HugeAlign(vpn)))
 	}
-	old, existed := pt.entries[vpn]
-	pt.entries[vpn] = e
+	l := pt.leafFor(vpn)
+	existed, old := l.has(off), l.ptes[off]
+	pt.store(l, off, e)
 	pt.present += pteResident(e) - residentIf(existed, old)
 	pt.hugeHeads += hugeIf(e.Huge) - hugeIf(existed && old.Huge)
 }
@@ -182,15 +292,22 @@ func (pt *PageTable) Set(vpn VPN, e PTE) {
 // inside a huge run (including its head) panics — split the run first, then
 // delete the base entries.
 func (pt *PageTable) Delete(vpn VPN) (PTE, bool) {
-	if head, _, ok := pt.hugeHead(vpn); ok {
-		panic(fmt.Sprintf("mem: delete of vpn %d inside huge run headed at %d", vpn, head))
+	l := pt.leaf(vpn)
+	if l == nil {
+		return PTE{}, false
 	}
-	e, ok := pt.entries[vpn]
-	if ok {
-		delete(pt.entries, vpn)
-		pt.present -= pteResident(e)
+	off := vpn % HugePages
+	if l.covers(off) {
+		panic(fmt.Sprintf("mem: delete of vpn %d inside huge run headed at %d", vpn, HugeAlign(vpn)))
 	}
-	return e, ok
+	if !l.has(off) {
+		return PTE{}, false
+	}
+	e := l.ptes[off]
+	pt.clear(l, off)
+	pt.present -= pteResident(e)
+	pt.release(vpn)
+	return e, true
 }
 
 // InstallHuge collapses the run headed at the aligned vpn into one huge
@@ -200,22 +317,24 @@ func (pt *PageTable) InstallHuge(vpn VPN, e PTE) {
 	if vpn%HugePages != 0 {
 		panic(fmt.Sprintf("mem: InstallHuge at unaligned vpn %d", vpn))
 	}
-	for i := VPN(0); i < HugePages; i++ {
-		if old, ok := pt.entries[vpn+i]; ok {
-			if old.Huge {
-				panic(fmt.Sprintf("mem: InstallHuge over existing huge run at %d", vpn))
-			}
-			delete(pt.entries, vpn+i)
-			pt.present -= pteResident(old)
+	l := pt.leafFor(vpn)
+	if l.huge() {
+		panic(fmt.Sprintf("mem: InstallHuge over existing huge run at %d", vpn))
+	}
+	for w, word := range l.used {
+		for ; word != 0; word &= word - 1 {
+			off := VPN(w*64 + bits.TrailingZeros64(word))
+			pt.present -= pteResident(l.ptes[off])
+			pt.clear(l, off)
 		}
 	}
 	e.Huge = true
-	pt.entries[vpn] = e
+	pt.store(l, 0, e)
 	pt.present += HugePages
 	pt.hugeHeads++
 	// A fresh collapse starts with clean per-subpage state (no carve-outs,
 	// no heat history from a previous life of this address range).
-	delete(pt.aux, vpn)
+	l.aux = nil
 }
 
 // SplitHuge dissolves the huge entry headed at vpn into HugePages base
@@ -223,17 +342,16 @@ func (pt *PageTable) InstallHuge(vpn VPN, e PTE) {
 // backing frames must already have been released from their block (see
 // PhysMem.SplitHugeBlock). Resident count is unchanged.
 func (pt *PageTable) SplitHuge(vpn VPN) {
-	e, ok := pt.entries[vpn]
-	if !ok || !e.Huge {
+	l := pt.hugeLeaf(vpn)
+	if l == nil {
 		panic(fmt.Sprintf("mem: SplitHuge at vpn %d: no huge entry", vpn))
 	}
-	a := pt.aux[vpn]
+	a := l.aux
+	e := l.ptes[0]
 	e.Huge = false
-	// Replace the head first so the hugeHead guard in Set no longer sees the
-	// run, then fan the remaining entries out. Carved subpages already own
-	// base entries (possibly remapped elsewhere by COW or merging) and are
-	// left alone.
-	pt.entries[vpn] = e
+	// Carved subpages already own base entries (possibly remapped elsewhere
+	// by COW or merging) and are left alone.
+	l.ptes[0] = e
 	pt.hugeHeads--
 	for i := VPN(1); i < HugePages; i++ {
 		if a != nil && a.isCarved(i) {
@@ -241,9 +359,9 @@ func (pt *PageTable) SplitHuge(vpn VPN) {
 		}
 		sub := e
 		sub.Frame = e.Frame + FrameID(i)
-		pt.entries[vpn+i] = sub
+		pt.store(l, i, sub)
 	}
-	delete(pt.aux, vpn)
+	l.aux = nil
 	// present is unchanged: the same pages are resident before and after —
 	// the head's contribution is replaced one-for-one by the fanned-out base
 	// entries, and carved entries were already counted by themselves.
@@ -256,11 +374,12 @@ func (pt *PageTable) SplitHuge(vpn VPN) {
 // so they become ordinary refcounted frames. The head subpage (offset 0)
 // cannot be carved — it anchors the huge entry.
 func (pt *PageTable) SplitHugeSubpages(head VPN, vpns []VPN) {
-	e, ok := pt.entries[head]
-	if !ok || !e.Huge {
+	l := pt.hugeLeaf(head)
+	if l == nil {
 		panic(fmt.Sprintf("mem: SplitHugeSubpages at vpn %d: no huge entry", head))
 	}
-	a := pt.ensureAux(head)
+	e := l.ptes[0]
+	a := l.ensureAux()
 	for _, vpn := range vpns {
 		if vpn <= head || vpn >= head+HugePages {
 			panic(fmt.Sprintf("mem: SplitHugeSubpages vpn %d outside run headed at %d", vpn, head))
@@ -279,7 +398,7 @@ func (pt *PageTable) SplitHugeSubpages(head VPN, vpns []VPN) {
 		// therefore installed without counting. Later mutations of the base
 		// entry (swap-out, delete) adjust present normally, keeping the
 		// total equal to the true resident page count.
-		pt.entries[vpn] = sub
+		pt.store(l, off, sub)
 	}
 	// A fresh carve restarts the quiesce clock: re-promotion must wait for
 	// a full quiet window after the most recent demotion.
@@ -291,19 +410,20 @@ func (pt *PageTable) SplitHugeSubpages(head VPN, vpns []VPN) {
 // subpage resumes. The caller must have restored the matching frame into the
 // backing block first (PhysMem.ReclaimHugeFrame).
 func (pt *PageTable) UncarveSubpage(head, vpn VPN) {
-	e, ok := pt.entries[head]
-	if !ok || !e.Huge {
+	l := pt.hugeLeaf(head)
+	if l == nil {
 		panic(fmt.Sprintf("mem: UncarveSubpage at vpn %d: no huge entry", head))
 	}
-	a := pt.aux[head]
+	a := l.aux
 	if vpn <= head || vpn >= head+HugePages || a == nil || !a.isCarved(vpn-head) {
 		panic(fmt.Sprintf("mem: UncarveSubpage vpn %d not carved from run at %d", vpn, head))
 	}
-	if cur, ok := pt.entries[vpn]; ok {
-		delete(pt.entries, vpn)
-		pt.present -= pteResident(cur)
+	off := vpn - head
+	if l.has(off) {
+		pt.present -= pteResident(l.ptes[off])
+		pt.clear(l, off)
 	}
-	a.clearCarved(vpn - head)
+	a.clearCarved(off)
 	a.ncarved--
 	// The subpage is resident again through the head's coverage.
 	pt.present++
@@ -312,7 +432,7 @@ func (pt *PageTable) UncarveSubpage(head, vpn VPN) {
 // CarvedCount reports how many subpages have been carved out of the huge run
 // headed at head (0 when the head is not huge or nothing is carved).
 func (pt *PageTable) CarvedCount(head VPN) int {
-	if a := pt.aux[head]; a != nil {
+	if a := pt.auxAt(head); a != nil {
 		return a.ncarved
 	}
 	return 0
@@ -320,21 +440,18 @@ func (pt *PageTable) CarvedCount(head VPN) int {
 
 // CarvedAt reports whether vpn is a carved subpage of a live huge run.
 func (pt *PageTable) CarvedAt(vpn VPN) bool {
-	if pt.hugeHeads == 0 || pt.aux == nil {
+	off := vpn % HugePages
+	if off == 0 {
 		return false
 	}
-	head := HugeAlign(vpn)
-	if vpn == head {
-		return false
-	}
-	a := pt.aux[head]
-	return a != nil && a.isCarved(vpn-head)
+	l := pt.leaf(vpn)
+	return l != nil && l.aux != nil && l.aux.isCarved(off)
 }
 
 // CarvedSubpages returns the carved subpage VPNs of the run headed at head,
 // ascending.
 func (pt *PageTable) CarvedSubpages(head VPN) []VPN {
-	a := pt.aux[head]
+	a := pt.auxAt(head)
 	if a == nil || a.ncarved == 0 {
 		return nil
 	}
@@ -355,13 +472,12 @@ func (pt *PageTable) NoteSubpageDirty(vpn VPN) {
 	if pt.hugeHeads == 0 {
 		return
 	}
-	head := HugeAlign(vpn)
-	e, ok := pt.entries[head]
-	if !ok || !e.Huge {
+	l := pt.leaf(vpn)
+	if l == nil || !l.huge() {
 		return
 	}
-	a := pt.ensureAux(head)
-	if off := vpn - head; a.heat[off] < ^uint16(0) {
+	a := l.ensureAux()
+	if off := vpn % HugePages; a.heat[off] < ^uint16(0) {
 		a.heat[off]++
 	}
 }
@@ -369,11 +485,8 @@ func (pt *PageTable) NoteSubpageDirty(vpn VPN) {
 // SubpageHeat reports the current heat counter for vpn's slot in the huge
 // run covering it (0 when there is no huge run or no recorded writes).
 func (pt *PageTable) SubpageHeat(vpn VPN) uint16 {
-	if pt.aux == nil {
-		return 0
-	}
-	if a := pt.aux[HugeAlign(vpn)]; a != nil {
-		return a.heat[vpn-HugeAlign(vpn)]
+	if l := pt.leaf(vpn); l != nil && l.aux != nil {
+		return l.aux.heat[vpn%HugePages]
 	}
 	return 0
 }
@@ -381,7 +494,7 @@ func (pt *PageTable) SubpageHeat(vpn VPN) uint16 {
 // SubpageHeats returns a snapshot of the per-subpage heat counters for the
 // huge entry headed at head.
 func (pt *PageTable) SubpageHeats(head VPN) [HugePages]uint16 {
-	if a := pt.aux[head]; a != nil {
+	if a := pt.auxAt(head); a != nil {
 		return a.heat
 	}
 	return [HugePages]uint16{}
@@ -393,11 +506,11 @@ func (pt *PageTable) SubpageHeats(head VPN) [HugePages]uint16 {
 // block time to show heat), quiet gates re-promotion (the block has had no
 // writes for that many consecutive visits).
 func (pt *PageTable) DecaySubpageHeat(head VPN) (age, quiet int) {
-	e, ok := pt.entries[head]
-	if !ok || !e.Huge {
+	l := pt.hugeLeaf(head)
+	if l == nil {
 		panic(fmt.Sprintf("mem: DecaySubpageHeat at vpn %d: no huge entry", head))
 	}
-	a := pt.ensureAux(head)
+	a := l.ensureAux()
 	total := 0
 	for i := range a.heat {
 		total += int(a.heat[i])
@@ -416,33 +529,44 @@ func (pt *PageTable) DecaySubpageHeat(head VPN) (age, quiet int) {
 	return int(a.age), int(a.quiet)
 }
 
-// Range calls fn for every stored entry in unspecified order, stopping early
-// if fn returns false. Huge runs are visited once via their head entry. Use
-// only for order-insensitive aggregation.
-func (pt *PageTable) Range(fn func(vpn VPN, e PTE) bool) {
-	for vpn, e := range pt.entries {
-		if !fn(vpn, e) {
-			return
-		}
-	}
-}
-
 // SortedVPNs returns all stored page numbers in ascending order (huge runs
 // contribute only their head).
 func (pt *PageTable) SortedVPNs() []VPN {
-	vpns := make([]VPN, 0, len(pt.entries))
-	for vpn := range pt.entries {
+	vpns := make([]VPN, 0, pt.n)
+	pt.RangeSorted(func(vpn VPN, _ PTE) bool {
 		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+		return true
+	})
 	return vpns
 }
 
-// RangeSorted calls fn for every stored entry in ascending VPN order.
+// RangeSorted calls fn for every stored entry in ascending VPN order,
+// stopping early if fn returns false. Huge runs are visited once via their
+// head entry. fn may replace the entry it is given; entries it deletes
+// further on are not visited.
 func (pt *PageTable) RangeSorted(fn func(vpn VPN, e PTE) bool) {
-	for _, vpn := range pt.SortedVPNs() {
-		if !fn(vpn, pt.entries[vpn]) {
-			return
+	for r := 0; r < len(pt.root); r++ {
+		m := pt.root[r]
+		if m == nil {
+			continue
+		}
+		for i := range m.leaves {
+			l := m.leaves[i]
+			if l == nil {
+				continue
+			}
+			base := VPN(r)<<ptRootShift | VPN(i)<<ptMidShift
+			for w := range l.used {
+				for word := l.used[w]; word != 0; word &= word - 1 {
+					off := VPN(w*64 + bits.TrailingZeros64(word))
+					if !l.has(off) {
+						continue
+					}
+					if !fn(base+off, l.ptes[off]) {
+						return
+					}
+				}
+			}
 		}
 	}
 }

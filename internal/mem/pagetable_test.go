@@ -194,7 +194,7 @@ func TestPresentCountMatchesRecountWithHuge(t *testing.T) {
 	pt.SplitHuge(4 * HugePages)
 	pt.Delete(4*HugePages + 7)
 	recount := 0
-	pt.Range(func(_ VPN, e PTE) bool {
+	pt.RangeSorted(func(_ VPN, e PTE) bool {
 		recount += pteResident(e)
 		return true
 	})

@@ -684,8 +684,8 @@ func (pm *PhysMem) Compare(a, b FrameID) int {
 	return bytes.Compare(pm.bytesOf(fa), pm.bytesOf(fb))
 }
 
-// Checksum returns the FNV-1a checksum of the frame contents, computed at
-// most once per content — zero pages use the pool's precomputed sum, seeded
+// Checksum returns the page checksum (ChecksumBytes) of the frame contents,
+// computed at most once per content — zero pages use the pool's precomputed sum, seeded
 // pages the per-seed cache, literal blobs a sum cached on the blob itself.
 func (pm *PhysMem) Checksum(id FrameID) uint64 {
 	return pm.checksumOf(pm.frameAt(id))

@@ -255,7 +255,7 @@ func (m *Machine) SharePass() {
 // became shared.
 func (m *Machine) protectHolders(f mem.FrameID) {
 	for _, lp := range m.lpars {
-		lp.pt.Range(func(vpn mem.VPN, pte mem.PTE) bool {
+		lp.pt.RangeSorted(func(vpn mem.VPN, pte mem.PTE) bool {
 			if pte.Frame == f && !pte.COW {
 				pte.COW = true
 				lp.pt.Set(vpn, pte)
@@ -269,7 +269,7 @@ func (m *Machine) countShared() int {
 	n := 0
 	seen := map[mem.FrameID]bool{}
 	for _, lp := range m.lpars {
-		lp.pt.Range(func(_ mem.VPN, pte mem.PTE) bool {
+		lp.pt.RangeSorted(func(_ mem.VPN, pte mem.PTE) bool {
 			if m.phys.IsKSM(pte.Frame) && !seen[pte.Frame] {
 				seen[pte.Frame] = true
 				n++
