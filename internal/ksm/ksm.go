@@ -99,11 +99,12 @@ type Config struct {
 	// behaviour is byte-identical to the linear scanner.
 	IncrementalScan bool
 	// Shards splits the merge state — the stable tree and the unstable index
-	// — into this many partitions routed by checksum % Shards, scanned by a
-	// bounded worker pool (one worker per shard with work; see shard.go).
-	// 0 or 1 keeps the single-threaded scanner. Merge outcomes, statistics
-	// and frame allocation order are byte-identical at every shard count;
-	// only wall-clock scan time changes. DESIGN.md §5f has the invariants.
+	// — into this many partitions routed by checksum % Shards; large batches
+	// fan out to a bounded worker pool (one worker per shard with work; see
+	// shard.go). 0 or 1 keeps one partition and runs every batch inline.
+	// Merge outcomes, statistics and frame allocation order are
+	// byte-identical at every shard count; only wall-clock scan time
+	// changes. DESIGN.md §5f has the invariants.
 	Shards int
 }
 
@@ -927,213 +928,34 @@ func (k *KSM) compactUnstable() {
 	}
 }
 
-// scanPage runs the merge pipeline on one candidate page. It reports whether
-// the volatility gate skipped the page (it was seen changing), which
-// incremental mode uses to schedule the revisit that a linear pass would get
-// for free; callers in linear mode ignore the result.
-func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
-	pm := k.host.Phys()
-	pte, ok := vm.ResidentPTE(vpn)
-	if !ok {
-		k.stats.NotResident++
-		return false
-	}
-	frame := pte.Frame
-	if pm.IsKSM(frame) {
-		k.stats.AlreadyShared++
-		return false
-	}
-	if pte.Huge {
-		return k.scanHugePage(vm, vpn, frame)
-	}
-
-	key := pageKey{vm: vm, vpn: vpn}
-	sum := pm.Checksum(frame)
-	sh := k.shardOf(sum)
-	sh.scanned++
-	if k.cfg.ChecksumGate {
-		last, seen := k.checksums[key]
-		k.checksums[key] = sum
-		if !seen || last != sum {
-			k.stats.ChecksumSkips++
-			return true
-		}
-	}
-
-	// Stable tree first. Byte-identical content has an identical checksum,
-	// so any stable frame matching this page lives in this shard's tree.
-	if stableFrame, hit := sh.stable.lookup(frame); hit {
-		pm.IncRef(stableFrame)
-		vm.RemapShared(vpn, stableFrame)
-		k.stats.StableMerges++
-		return false
-	}
-
-	// Unstable index.
-	bucket := sh.unstable[sum]
-	selfSeen := false
-	for bi, ent := range bucket {
-		if ent.key == key {
-			// The retained index of incremental mode can already hold this
-			// page from an earlier round (a linear pass drops the index
-			// before a page is ever revisited, so this never fires there).
-			selfSeen = true
-			continue
-		}
-		otherPTE, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
-		if !ok {
-			continue
-		}
-		otherFrame := otherPTE.Frame
-		if pm.IsKSM(otherFrame) || pm.Checksum(otherFrame) != ent.checksum {
-			// Stale: page went away, was merged via another path, or was
-			// rewritten since we recorded it.
-			continue
-		}
-		if !k.cfg.HashOnly && !pm.Equal(frame, otherFrame) {
-			k.stats.HashRejects++
-			continue
-		}
-		if otherPTE.Huge {
-			// The partner was collapsed into a huge mapping after we
-			// recorded it. Under the split policies the verified duplicate
-			// justifies recovering the subpage — carving just it out
-			// (PartialSplitHuge) or dissolving the whole huge page
-			// (SplitHugePages); otherwise THP wins and the merge is
-			// forgone.
-			if !k.splitHugeFor(ent.key.vm, ent.key.vpn) {
-				continue
-			}
-		}
-		// Promote the partner to a stable page and remap the candidate.
-		pm.SetKSM(otherFrame, true)
-		ent.key.vm.WriteProtect(ent.key.vpn)
-		pm.IncRef(otherFrame) // tree reference
-		sh.stable.insert(otherFrame)
-
-		pm.IncRef(otherFrame)
-		vm.RemapShared(vpn, otherFrame)
-		k.stats.UnstableMerges++
-
-		// Drop the promoted entry from the bucket.
-		bucket = append(bucket[:bi], bucket[bi+1:]...)
-		sh.unstable[sum] = bucket
-		sh.unstableN--
-		return false
-	}
-	if !selfSeen {
-		sh.unstable[sum] = append(bucket, unstableEntry{key: key, checksum: sum})
-		sh.unstableN++
-	}
-	return false
-}
-
 // hugeSplitting reports whether the scanner is allowed to break huge
 // mappings at all (either split policy).
 func (k *KSM) hugeSplitting() bool {
 	return k.cfg.SplitHugePages || k.cfg.PartialSplitHuge
 }
 
-// splitHugeFor recovers the verified-duplicate subpage at vpn from the huge
-// mapping covering it, honoring the configured split policy: a partial
-// carve of just that subpage, or a whole-block split. Reports false when
-// the policy leaves the mapping intact (splitting off, or a partial split
-// aimed at the uncarvable head subpage) — the caller forgoes the merge.
-func (k *KSM) splitHugeFor(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
+// canSplitHuge reports whether the split policy recovers the verified
+// duplicate subpage at vpn from the huge mapping covering it: a partial split
+// carves any subpage but the head (it anchors the huge entry), a whole-block
+// split takes any, and without a split policy THP keeps it.
+func (k *KSM) canSplitHuge(vpn mem.VPN) bool {
+	if k.cfg.PartialSplitHuge {
+		return vpn != mem.HugeAlign(vpn)
+	}
+	return k.cfg.SplitHugePages
+}
+
+// splitHuge recovers the subpage at vpn, which canSplitHuge has approved: a
+// partial carve of just that subpage, or a whole-block split.
+func (k *KSM) splitHuge(vm *hypervisor.VMProcess, vpn mem.VPN) {
 	head := mem.HugeAlign(vpn)
 	if k.cfg.PartialSplitHuge {
-		if vpn == head {
-			k.stats.HugeSkips++
-			return false
-		}
 		vm.SplitHugeSubpages(head, []mem.VPN{vpn})
 		k.stats.HugePartialSplits++
-		return true
-	}
-	if !k.cfg.SplitHugePages {
-		k.stats.HugeSkips++
-		return false
+		return
 	}
 	vm.SplitHuge(head)
 	k.stats.HugeSplits++
-	return true
-}
-
-// scanHugePage handles a candidate covered by a transparent huge mapping.
-// Without a split policy the page is simply skipped (THP hides it from
-// merging). With one, the scanner checks whether the subpage's content
-// duplicates a stable page or a still-valid unstable candidate; a verified
-// duplicate splits the subpage (or the whole mapping, depending on policy)
-// and re-enters the normal merge pipeline immediately. Like scanPage it
-// reports a volatility-gate skip.
-func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.FrameID) bool {
-	if !k.hugeSplitting() {
-		k.stats.HugeSkips++
-		return false
-	}
-	pm := k.host.Phys()
-	sum := pm.Checksum(frame)
-	sh := k.shardOf(sum)
-	sh.scanned++
-	if k.cfg.ChecksumGate {
-		// Same volatility gate as base pages: splitting a huge page for a
-		// still-changing subpage would only trade TLB reach for a merge that
-		// breaks right back.
-		key := pageKey{vm: vm, vpn: vpn}
-		last, seen := k.checksums[key]
-		k.checksums[key] = sum
-		if !seen || last != sum {
-			k.stats.ChecksumSkips++
-			return true
-		}
-	}
-	key := pageKey{vm: vm, vpn: vpn}
-	dup := false
-	selfSeen := false
-	if _, hit := sh.stable.lookup(frame); hit {
-		dup = true
-	} else {
-		for _, ent := range sh.unstable[sum] {
-			if ent.key == key {
-				// Retained-index revisit, as in scanPage.
-				selfSeen = true
-				continue
-			}
-			otherFrame, ok := ent.key.vm.ResolveResident(ent.key.vpn)
-			if !ok || pm.IsKSM(otherFrame) || pm.Checksum(otherFrame) != ent.checksum {
-				// Stale, exactly as in scanPage — and the IsKSM test matters
-				// just as much here: a partner already promoted to the stable
-				// tree can still checksum-match through its old index entry,
-				// and without the test it validated a dup verdict (splitting
-				// a huge page) that the stable lookup above had already
-				// rejected on content.
-				continue
-			}
-			if k.cfg.HashOnly || pm.Equal(frame, otherFrame) {
-				dup = true
-				break
-			}
-		}
-	}
-	if !dup {
-		// No known duplicate yet — record the page as an unstable candidate
-		// anyway. Duplicates that are huge-mapped in *every* VM could never
-		// find each other otherwise; when a later scan matches this entry,
-		// both sides are split and merged (the partner-huge path in
-		// scanPage).
-		if !selfSeen {
-			sh.unstable[sum] = append(sh.unstable[sum], unstableEntry{key: key, checksum: sum})
-			sh.unstableN++
-		}
-		return false
-	}
-	if !k.splitHugeFor(vm, vpn) {
-		// Partial policy, uncarvable head subpage: the merge is forgone.
-		return false
-	}
-	// The page is base-grained now; rescan so the duplicate merges in
-	// this same visit (the gate entry written above lets it through).
-	return k.scanPage(vm, vpn)
 }
 
 // Instrument registers the scanner's telemetry gauges on the registry.
@@ -1229,7 +1051,8 @@ func (k *KSM) DirtyRingDepth() int {
 }
 
 // ShardPagesScanned reports each shard's routed-candidate count — pages
-// whose checksum reached the merge pipeline — in shard order. The split is
+// whose checksum reached the merge pipeline, once per visit (a split huge
+// duplicate's rescan is the same visit) — in shard order. The split is
 // deterministic at every batch size and worker interleaving (routing is a
 // pure function of content).
 func (k *KSM) ShardPagesScanned() []uint64 {

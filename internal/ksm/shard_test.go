@@ -1,9 +1,13 @@
 package ksm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
 
@@ -55,6 +59,51 @@ func captureOutcome(f *fixture) shardOutcome {
 	return o
 }
 
+// digest condenses an outcome, minus its routed-candidate count, into a
+// string a test can pin as a literal.
+func (o shardOutcome) digest() string {
+	o.routed = 0
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", o)))
+	return hex.EncodeToString(sum[:12])
+}
+
+// serialOutcomes pins every equivalence scenario's one-shard outcome as the
+// page-at-a-time scanner (scanPage/scanHugePage, since folded into the batch
+// pipeline) produced it, so run(1) is checked against that scanner and not
+// only against run(N). The routed count is pinned apart from the digest: the
+// page-at-a-time scanner counted a split huge duplicate twice (once before
+// the split, once on the rescan), and the pipeline counts it once, so the
+// split scenarios' routed totals are the corrected ones.
+var serialOutcomes = map[string]struct {
+	digest string
+	routed uint64
+}{
+	"linear":      {"8847b2f499e8d6f75803daeb", 300},
+	"incremental": {"0d110c5b1dd3a954433cb19b", 56},
+	"large-batch": {"c5f6c64c969132ec161a3597", 1154},
+	// Routed totals were 12817, 3586, 11778 and 3587 under the double count;
+	// each drops by the scenario's number of split-and-rescanned huge
+	// duplicates (1016, 511, 3 and 1).
+	"split-partial-linear":      {"dbcdd5cb34f6eac5541aff8c", 11801},
+	"split-partial-incremental": {"0bf66705d4096a5026571fc3", 3075},
+	"split-whole-linear":        {"f4206c1371920c0fe99e291d", 11775},
+	"split-whole-incremental":   {"890d694d663e7359408857fc", 3586},
+}
+
+func checkSerialOutcome(t *testing.T, name string, o shardOutcome) {
+	t.Helper()
+	want, ok := serialOutcomes[name]
+	if !ok {
+		t.Fatalf("no serial reference for scenario %q", name)
+	}
+	if got := o.digest(); got != want.digest {
+		t.Errorf("%s: one-shard outcome digest %s, want the serial scanner's %s", name, got, want.digest)
+	}
+	if o.routed != want.routed {
+		t.Errorf("%s: routed %d, want %d", name, o.routed, want.routed)
+	}
+}
+
 // TestShardedLinearMatchesUnsharded is the tentpole equivalence test: the same
 // scripted workload — cross-VM duplicates, intra-VM duplicates, uniques,
 // post-convergence churn that COW-breaks merged pages, and a mid-run
@@ -92,6 +141,7 @@ func TestShardedLinearMatchesUnsharded(t *testing.T) {
 	if base.stats.StableMerges == 0 || base.stats.UnstableMerges == 0 || base.stats.COWBreaks == 0 {
 		t.Fatalf("scenario too tame to prove anything: %+v", base.stats)
 	}
+	checkSerialOutcome(t, "linear", base)
 	for _, n := range []int{2, 4} {
 		if got := run(n); !reflect.DeepEqual(got, base) {
 			t.Fatalf("shards=%d diverged from unsharded:\nbase %+v\ngot  %+v", n, base, got)
@@ -134,6 +184,7 @@ func TestShardedIncrementalMatchesUnsharded(t *testing.T) {
 	if base.stats.IncrementalScanned == 0 {
 		t.Fatal("scenario never used the incremental queue")
 	}
+	checkSerialOutcome(t, "incremental", base)
 	for _, n := range []int{2, 4} {
 		if got := run(n); !reflect.DeepEqual(got, base) {
 			t.Fatalf("shards=%d diverged from unsharded:\nbase %+v\ngot  %+v", n, base, got)
@@ -144,9 +195,10 @@ func TestShardedIncrementalMatchesUnsharded(t *testing.T) {
 // TestShardedLargeBatchMatchesSerial runs pass-sized batches above the real
 // dispatch threshold (no override), so the production worker pool actually
 // fans out — and, under the CI -race run of this package, its synchronization
-// is exercised at full batch width.
+// is exercised at full batch width. The full outcome is compared, so frame
+// assignment and stable order are checked at that width too.
 func TestShardedLargeBatchMatchesSerial(t *testing.T) {
-	run := func(shards int) Stats {
+	run := func(shards int) shardOutcome {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
 		f := newFixture(t, 4096, 4, 128, cfg)
@@ -162,12 +214,129 @@ func TestShardedLargeBatchMatchesSerial(t *testing.T) {
 		f.vms[0].FillGuestPage(5, mem.Seed(31337))
 		f.vms[3].FillGuestPage(70, mem.Seed(107))
 		f.scanPasses(2)
-		return f.k.Stats()
+		return captureOutcome(f)
 	}
 	base := run(1)
+	checkSerialOutcome(t, "large-batch", base)
 	for _, n := range []int{2, 4} {
-		if got := run(n); got != base {
-			t.Fatalf("shards=%d stats diverged:\nbase %+v\ngot  %+v", n, base, got)
+		if got := run(n); !reflect.DeepEqual(got, base) {
+			t.Fatalf("shards=%d diverged from unsharded:\nbase %+v\ngot  %+v", n, base, got)
+		}
+	}
+}
+
+// runSplitLinear drives every huge-page verdict of the split policies in
+// linear mode: a huge subpage with a stable hit (VM 2's run 0), a base page
+// whose unstable partner is huge (VM 1 against VM 0's run 0), uncarvable
+// heads, and intra-block duplicates (VM 0's run 1), where a whole-block split
+// rewrites the PTEs of subpages still ahead of the cursor in the same scan
+// chunk. Then churn, an unregister, and the outcome with its unmerge.
+func runSplitLinear(t *testing.T, cfg Config) shardOutcome {
+	f := newFixture(t, 16*hp, 3, 2*hp, cfg)
+	for vi, vm := range f.vms {
+		for i := uint64(0); i < hp; i++ {
+			vm.FillGuestPage(i, mem.Seed(4000+i))
+			if vi == 0 {
+				vm.FillGuestPage(hp+i, mem.Seed(6000+i%8))
+			} else {
+				vm.FillGuestPage(hp+i, mem.Combine(mem.Seed(vi), mem.Seed(7000+i)))
+			}
+		}
+	}
+	for _, vm := range []*hypervisor.VMProcess{f.vms[0], f.vms[2]} {
+		for _, head := range []mem.VPN{vm.MemslotBase(), vm.MemslotBase() + hp} {
+			if got := vm.CollapseHuge(head, 0); got.String() != "ok" {
+				t.Fatalf("setup collapse: %v", got)
+			}
+		}
+	}
+	f.scanPasses(3)
+	f.vms[1].FillGuestPage(3, mem.Seed(9001))
+	f.vms[2].FillGuestPage(hp+3, mem.Seed(6001))
+	f.scanPasses(3)
+	f.k.Unregister(f.vms[1])
+	f.scanPasses(2)
+	return captureOutcome(f)
+}
+
+// runSplitIncremental drives the split policies over the dirty-ring path. A
+// huge run collapsed after the switch is recorded in the retained unstable
+// index; a later round then queues a base page of the same VM whose partner
+// is a subpage of that run, followed by another subpage of the run — so
+// under SplitHugePages the partner's whole block is split while one of its
+// later subpages is still queued in the same scan chunk.
+func runSplitIncremental(t *testing.T, cfg Config) shardOutcome {
+	cfg.IncrementalScan = true
+	f := newDirtyFixture(t, 16*hp, 2, 2*hp, 0, cfg)
+	for _, vm := range f.vms {
+		for i := uint64(0); i < hp; i++ {
+			vm.FillGuestPage(i, mem.Seed(4000+i))
+		}
+	}
+	if got := f.vms[1].CollapseHuge(f.vms[1].MemslotBase(), 0); got.String() != "ok" {
+		t.Fatalf("setup collapse: %v", got)
+	}
+	round := func() { f.k.ScanChunk(4 * hp) }
+	round()
+	round()
+	if !f.k.incremental {
+		t.Fatal("not incremental after two passes")
+	}
+	vm := f.vms[0]
+	for i := uint64(0); i < hp; i++ {
+		vm.FillGuestPage(hp+i, mem.Seed(5000+i))
+	}
+	if got := vm.CollapseHuge(vm.MemslotBase()+hp, 0); got.String() != "ok" {
+		t.Fatalf("collapse after the switch: %v", got)
+	}
+	round() // first sightings of run 1, deferred by the gate
+	vm.FillGuestPage(5, mem.Seed(5000+10))
+	vm.FillGuestPage(hp+20, mem.Seed(5555))
+	round() // run 1 recorded; pages 5 and hp+20 deferred again
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	return captureOutcome(f)
+}
+
+// TestSplitPoliciesIdenticalAcrossShardCounts: both split policies, linear
+// and incremental, under forced fan-out, leave the same full outcome at one,
+// two and four shards — and the one-shard outcome is the serial scanner's.
+func TestSplitPoliciesIdenticalAcrossShardCounts(t *testing.T) {
+	forceParallel(t)
+	policies := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"partial", func(c *Config) { c.PartialSplitHuge = true }},
+		{"whole", func(c *Config) { c.SplitHugePages = true }},
+	}
+	scenarios := []struct {
+		name string
+		run  func(*testing.T, Config) shardOutcome
+	}{
+		{"linear", runSplitLinear},
+		{"incremental", runSplitIncremental},
+	}
+	for _, p := range policies {
+		for _, sc := range scenarios {
+			name := "split-" + p.name + "-" + sc.name
+			run := func(shards int) shardOutcome {
+				cfg := DefaultConfig()
+				p.set(&cfg)
+				cfg.Shards = shards
+				return sc.run(t, cfg)
+			}
+			base := run(1)
+			if base.stats.HugeSplits+base.stats.HugePartialSplits == 0 || base.stats.UnstableMerges == 0 {
+				t.Fatalf("%s: scenario never split and merged: %+v", name, base.stats)
+			}
+			checkSerialOutcome(t, name, base)
+			for _, n := range []int{2, 4} {
+				if got := run(n); !reflect.DeepEqual(got, base) {
+					t.Fatalf("%s: shards=%d diverged from unsharded:\nbase %+v\ngot  %+v", name, n, base, got)
+				}
+			}
 		}
 	}
 }
@@ -207,13 +376,14 @@ func TestShardRoutingSpreadsWork(t *testing.T) {
 	}
 }
 
-// TestHugeScanIgnoresPromotedUnstablePartner is the scanHugePage staleness
-// regression (satellite): an unstable-index entry whose page has since been
-// promoted to a KSM frame is dead — scanPage skips it with an explicit IsKSM
-// test, but the huge-candidate path only compared checksums, so the stale
+// TestHugeScanIgnoresPromotedUnstablePartner is the huge-candidate staleness
+// regression: an unstable-index entry whose page has since been promoted to a
+// KSM frame is dead. The base-page path skipped it with an explicit IsKSM
+// test, but the old huge-candidate path only compared checksums, so the stale
 // entry (checksum still matching, content write-protected and shared) could
 // vouch for a "duplicate found" verdict and split a huge mapping that the
-// stable-tree lookup had already declined to split.
+// stable-tree lookup had already declined to split. Both now share one
+// partner check (livePartner).
 func TestHugeScanIgnoresPromotedUnstablePartner(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SplitHugePages = true
@@ -388,5 +558,46 @@ func TestDirtyRingDepthGaugeAllocFree(t *testing.T) {
 	want = f.vms[1].DirtyLogDepth() + f.vms[2].DirtyLogDepth()
 	if got := f.k.DirtyRingDepth(); got != want {
 		t.Fatalf("DirtyRingDepth after unregister = %d, want %d", got, want)
+	}
+}
+
+// TestSplitDuplicateRoutedOnce: a huge-mapped subpage that is a verified
+// duplicate is split and rescanned within one visit, and that visit reaches
+// the pipeline once, so the routed total (ksm.shard.pages_scanned) rises by
+// exactly one. The page-at-a-time scanner counted it twice: before the split
+// and again on the rescan.
+func TestSplitDuplicateRoutedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		skip int // pages scanned past VM 0 before the probe
+	}{
+		// The head subpage is uncarvable, so the partial probe is subpage 1.
+		{"partial", func(c *Config) { c.PartialSplitHuge = true }, 1},
+		{"whole", func(c *Config) { c.SplitHugePages = true }, 0},
+	} {
+		cfg := DefaultConfig()
+		cfg.ChecksumGate = false
+		tc.set(&cfg)
+		f := hugeFixture(t, cfg)
+		f.k.ScanChunk(2*hp + tc.skip) // VM 0's huge run lands in the unstable index
+		routed := func() (n uint64) {
+			for _, c := range f.k.ShardPagesScanned() {
+				n += c
+			}
+			return n
+		}
+		before, s0 := routed(), f.k.Stats()
+		f.k.ScanChunk(1) // VM 1's huge-mapped duplicate of it
+		s := f.k.Stats()
+		if s.PagesScanned != s0.PagesScanned+1 || s.UnstableMerges != s0.UnstableMerges+1 {
+			t.Fatalf("%s: probe did not scan and merge one page: before %+v after %+v", tc.name, s0, s)
+		}
+		if s.HugeSplits+s.HugePartialSplits == s0.HugeSplits+s0.HugePartialSplits {
+			t.Fatalf("%s: probe merged without a split", tc.name)
+		}
+		if got := routed() - before; got != 1 {
+			t.Fatalf("%s: routed total rose by %d for one split duplicate, want 1", tc.name, got)
+		}
 	}
 }
